@@ -104,27 +104,6 @@ type ExploreEntry struct {
 	Parallelism int     `json:"parallelism"`
 }
 
-// BatchEntry reports one batched-execution measurement: K same-workload
-// design points simulated in one pass vs one at a time. Speedup is
-// host-independent (both sides ran in the same process); it approaches
-// min(K, cores) on a multi-core runner and ~1.0 on a single core, where
-// the batch win is the amortized build, not parallel lanes.
-type BatchEntry struct {
-	Name              string  `json:"name"`
-	Lanes             int     `json:"lanes"`
-	Cycles            uint64  `json:"cycles"` // aggregate simulated cycles across lanes
-	SeqCyclesPerSec   float64 `json:"seq_cycles_per_sec"`
-	BatchCyclesPerSec float64 `json:"batch_cycles_per_sec"`
-	Speedup           float64 `json:"speedup"`
-}
-
-// BatchReport aggregates the batched-execution measurements.
-type BatchReport struct {
-	Workers        int          `json:"workers"`
-	Entries        []BatchEntry `json:"entries"`
-	SpeedupGeomean float64      `json:"speedup_geomean"`
-}
-
 // Report is the BENCH_<rev>.json document.
 type Report struct {
 	Schema    int          `json:"schema"`
@@ -132,7 +111,6 @@ type Report struct {
 	GoVersion string       `json:"go_version"`
 	Entries   []Entry      `json:"entries"`
 	Explore   ExploreEntry `json:"explore"`
-	Batch     *BatchReport `json:"batch,omitempty"`
 }
 
 func main() {
@@ -143,9 +121,6 @@ func main() {
 	compare := flag.String("compare", "", "baseline report to gate against; non-zero exit on regression")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed relative throughput regression in -compare mode")
 	skipExplore := flag.Bool("no-explore", false, "skip the exploration-engine throughput measurement")
-	skipBatch := flag.Bool("no-batch", false, "skip the batched-execution throughput measurement")
-	batchLanes := flag.Int("batch-lanes", 8, "design points per batched pass in the batch measurement")
-	batchWorkers := flag.Int("batch-workers", 0, "worker goroutines for the batched pass (0 = GOMAXPROCS)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -177,29 +152,6 @@ func main() {
 		rep.Explore = ex
 		fmt.Printf("%-24s %9.1f sims/s over %d cells (parallelism %d)\n",
 			"explore/sweep", ex.SimsPerSec, ex.Cells, ex.Parallelism)
-	}
-	if !*skipBatch {
-		workers := *batchWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		bat := &BatchReport{Workers: workers}
-		var logSum float64
-		bcells := filterBatchMatrix(*suite, *scale)
-		for _, c := range bcells {
-			be, err := runBatchCell(c, *batchLanes, workers, *reps)
-			if err != nil {
-				fail(fmt.Errorf("batch %s: %w", c.name(), err))
-			}
-			fmt.Printf("batch %-18s %9.0f cyc/s seq  %9.0f cyc/s batched  %5.2fx (%d lanes, %d workers)\n",
-				be.Name, be.SeqCyclesPerSec, be.BatchCyclesPerSec, be.Speedup, be.Lanes, workers)
-			bat.Entries = append(bat.Entries, be)
-			logSum += math.Log(be.Speedup)
-		}
-		if len(bat.Entries) > 0 {
-			bat.SpeedupGeomean = math.Exp(logSum / float64(len(bat.Entries)))
-			rep.Batch = bat
-		}
 	}
 
 	path := *out
@@ -329,162 +281,6 @@ func runCell(c cell, reps int) (Entry, error) {
 	}, nil
 }
 
-// batchMatrix pins the batched-execution measurement to one cell per
-// suite at tiny scale: long enough to time honestly, short enough that
-// the whole matrix stays under a few seconds on one core.
-var batchMatrix = []cell{
-	{App: "mcf", Suite: "spec2000", Scale: "tiny", Clusters: 1, Threads: 1},
-	{App: "djpeg", Suite: "mediabench", Scale: "tiny", Clusters: 1, Threads: 1},
-	{App: "fft", Suite: "splash2", Scale: "tiny", Clusters: 16, Threads: 1},
-}
-
-func filterBatchMatrix(suite, scale string) []cell {
-	var out []cell
-	for _, c := range batchMatrix {
-		if suite != "" && c.Suite != suite {
-			continue
-		}
-		if scale != "" && c.Scale != scale {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// batchCellLanes derives the pinned lane set for a batch cell: lane 0 is
-// the baseline, the rest perturb one sweep knob each — the same-workload,
-// different-microarch shape a design sweep batches.
-func batchCellLanes(arch wavescalar.ArchParams, params []map[string]uint64, n int) []wavescalar.BatchLane {
-	base := wavescalar.Baseline(arch)
-	muts := []func(*wavescalar.Config){
-		func(c *wavescalar.Config) {}, // lane 0: the baseline itself
-		func(c *wavescalar.Config) { c.K = 2 },
-		func(c *wavescalar.Config) { c.K = 8 },
-		func(c *wavescalar.Config) { c.OutQCap = 2 },
-		func(c *wavescalar.Config) { c.OutQCap = 8 },
-		func(c *wavescalar.Config) { c.L1Lat++ },
-		func(c *wavescalar.Config) { c.NocBW++ },
-		func(c *wavescalar.Config) { c.SpecFire = !c.SpecFire },
-	}
-	lanes := make([]wavescalar.BatchLane, n)
-	for i := range lanes {
-		cfg := base
-		muts[i%len(muts)](&cfg)
-		lanes[i] = wavescalar.BatchLane{Config: cfg, Params: params}
-	}
-	return lanes
-}
-
-// runBatchCell measures one batch cell: K lanes one at a time (build +
-// run per lane, the cost a sweep pays today) vs the same K lanes through
-// one NewBatch pass, with every lane's digest cross-checked between the
-// two paths.
-func runBatchCell(c cell, lanesN, workers, reps int) (BatchEntry, error) {
-	sc, err := cli.ParseScale(c.Scale)
-	if err != nil {
-		return BatchEntry{}, err
-	}
-	arch := wavescalar.BaselineArch()
-	arch.Clusters = c.Clusters
-	w, err := wavescalar.WorkloadByName(c.App)
-	if err != nil {
-		return BatchEntry{}, err
-	}
-	inst := w.Build(sc)
-	lanes := batchCellLanes(arch, inst.Params(c.Threads), lanesN)
-	prog, mem := inst.Prog, wavescalar.Memory(inst.Mem)
-
-	runSeq := func() ([]string, uint64, error) {
-		digests := make([]string, len(lanes))
-		var cycles uint64
-		for i, ln := range lanes {
-			p, err := wavescalar.BuildProcessor(prog,
-				wavescalar.ProcConfig(ln.Config), wavescalar.ProcParams(ln.Params...), wavescalar.ProcMemory(mem))
-			if err != nil {
-				return nil, 0, fmt.Errorf("lane %d: %w", i, err)
-			}
-			st, err := p.Run()
-			if err != nil {
-				return nil, 0, fmt.Errorf("lane %d: %w", i, err)
-			}
-			digests[i], cycles = st.Digest(), cycles+st.Cycles
-		}
-		return digests, cycles, nil
-	}
-	runBatched := func() ([]string, uint64, error) {
-		b, err := wavescalar.NewBatch(prog, mem, lanes)
-		if err != nil {
-			return nil, 0, err
-		}
-		b.SetWorkers(workers)
-		digests := make([]string, len(lanes))
-		var cycles uint64
-		for i, r := range b.Run() {
-			if r.Err != nil {
-				return nil, 0, fmt.Errorf("lane %d: %w", i, r.Err)
-			}
-			digests[i], cycles = r.Stats.Digest(), cycles+r.Stats.Cycles
-		}
-		return digests, cycles, nil
-	}
-
-	// Correctness first: the batch is only a speedup if it is the same
-	// simulation.
-	seqDig, cycles, err := runSeq()
-	if err != nil {
-		return BatchEntry{}, err
-	}
-	batDig, _, err := runBatched()
-	if err != nil {
-		return BatchEntry{}, err
-	}
-	for i := range seqDig {
-		if seqDig[i] != batDig[i] {
-			return BatchEntry{}, fmt.Errorf("lane %d: batched digest %s != sequential %s", i, batDig[i], seqDig[i])
-		}
-	}
-
-	// Timed passes, same best-of-reps, min-wall-clock discipline as runCell.
-	const minWall = 250 * time.Millisecond
-	measure := func(pass func() ([]string, uint64, error)) (float64, error) {
-		var best float64
-		for r := 0; r < reps; r++ {
-			var total time.Duration
-			var cyc uint64
-			for total < minWall {
-				start := time.Now()
-				_, c, err := pass()
-				if err != nil {
-					return 0, err
-				}
-				total += time.Since(start)
-				cyc += c
-			}
-			if rate := float64(cyc) / total.Seconds(); rate > best {
-				best = rate
-			}
-		}
-		return best, nil
-	}
-	seqCPS, err := measure(runSeq)
-	if err != nil {
-		return BatchEntry{}, err
-	}
-	batCPS, err := measure(runBatched)
-	if err != nil {
-		return BatchEntry{}, err
-	}
-	return BatchEntry{
-		Name:              c.name(),
-		Lanes:             len(lanes),
-		Cycles:            cycles,
-		SeqCyclesPerSec:   seqCPS,
-		BatchCyclesPerSec: batCPS,
-		Speedup:           batCPS / seqCPS,
-	}, nil
-}
-
 // runExplore sweeps a small pinned grid (three machine sizes × the
 // splash2 kernels at tiny scale) through the exploration engine and
 // reports cells simulated per second.
@@ -589,71 +385,6 @@ func diff(cur, base *Report, tol float64, filtered bool) []string {
 		problems = append(problems, fmt.Sprintf(
 			"matrix-wide speedup vs scan regressed %.1f%% vs baseline (geomean; limit %.0f%%)",
 			100*(1-mean), 100*tol))
-	}
-	// Batched-execution gates. Baselines predating the batch runner carry
-	// no batch section; there is nothing to gate until one is committed.
-	if cur.Batch != nil && base.Batch != nil {
-		baseBat := make(map[string]BatchEntry, len(base.Batch.Entries))
-		for _, b := range base.Batch.Entries {
-			baseBat[b.Name] = b
-		}
-		// The batch stage runs minutes after the scan calibration cells, and
-		// a shared runner's speed drifts on that timescale. Each batch cell
-		// measures the sequential path seconds before the batched one, so
-		// the seq-throughput ratio is a drift-free host factor for this
-		// section; fall back to the scan factor if no cell carries both.
-		var calLogSum float64
-		calMatched := 0
-		for _, e := range cur.Batch.Entries {
-			if b, ok := baseBat[e.Name]; ok && b.SeqCyclesPerSec > 0 && e.SeqCyclesPerSec > 0 {
-				calLogSum += math.Log(e.SeqCyclesPerSec / b.SeqCyclesPerSec)
-				calMatched++
-			}
-		}
-		batCalib := calib
-		if calMatched > 0 {
-			batCalib = math.Exp(calLogSum / float64(calMatched))
-		}
-		var batLogSum, spdLogSum float64
-		batMatched := 0
-		seenBat := make(map[string]bool, len(cur.Batch.Entries))
-		for _, e := range cur.Batch.Entries {
-			seenBat[e.Name] = true
-			b, ok := baseBat[e.Name]
-			if !ok {
-				continue // new cell: nothing to gate against
-			}
-			batMatched++
-			batLogSum += math.Log(e.BatchCyclesPerSec / (b.BatchCyclesPerSec * batCalib))
-			spdLogSum += math.Log(e.Speedup / b.Speedup)
-			if want := b.BatchCyclesPerSec * batCalib * (1 - cellTol); e.BatchCyclesPerSec < want {
-				problems = append(problems, fmt.Sprintf(
-					"batch %s: %.0f cycles/sec, below %.0f (baseline %.0f × host factor %.2f − %.0f%%)",
-					e.Name, e.BatchCyclesPerSec, want, b.BatchCyclesPerSec, batCalib, 100*cellTol))
-			}
-		}
-		if batMatched > 0 {
-			if mean := math.Exp(batLogSum / float64(batMatched)); mean < 1-tol {
-				problems = append(problems, fmt.Sprintf(
-					"batched cycles/sec regressed %.1f%% vs baseline (geomean, host-normalized; limit %.0f%%)",
-					100*(1-mean), 100*tol))
-			}
-			// The batch speedup is cores-dependent, so only its collapse is
-			// gated, at the loose per-cell tolerance: a batch that no longer
-			// beats (or matches) the sequential path lost its reason to exist.
-			if mean := math.Exp(spdLogSum / float64(batMatched)); mean < 1-cellTol {
-				problems = append(problems, fmt.Sprintf(
-					"batch speedup regressed %.1f%% vs baseline (geomean; limit %.0f%%)",
-					100*(1-mean), 100*cellTol))
-			}
-		}
-		if !filtered {
-			for _, b := range base.Batch.Entries {
-				if !seenBat[b.Name] {
-					problems = append(problems, fmt.Sprintf("batch %s: in baseline but not measured", b.Name))
-				}
-			}
-		}
 	}
 	if !filtered {
 		for _, b := range base.Entries {

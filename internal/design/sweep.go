@@ -115,79 +115,6 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 	return best, nil
 }
 
-// BestThreadsBatch is BestThreadsContext for many design points of the
-// same workload in one batched pass: one program validation and one
-// placement per machine shape feed every (config, thread count) lane via
-// sim.NewBatch. Results are byte-identical to calling BestThreadsContext
-// per config — same winners, same accounting, same error text — so
-// cached and journaled sweep cells cannot tell the difference.
-//
-// The per-config slices are indexed like cfgs; exactly one of
-// runs[i]/errs[i] is meaningful per config. The final error is
-// infrastructure only (cancellation, or a batch that could not build);
-// when it is non-nil the per-config slices are invalid and the caller
-// should fall back to the sequential path or abort.
-func BestThreadsBatch(ctx context.Context, cfgs []sim.Config, inst *workload.Instance, counts []int) ([]BestRun, []error, error) {
-	runs := make([]BestRun, len(cfgs))
-	errsOut := make([]error, len(cfgs))
-	viable := make([]int, 0, len(counts))
-	for _, n := range counts {
-		if n <= inst.MaxThreads {
-			viable = append(viable, n)
-		}
-	}
-	if len(viable) == 0 {
-		for i := range cfgs {
-			errsOut[i] = fmt.Errorf("design: no viable thread count for %q: none of %v within the workload's limit of %d threads",
-				inst.Prog.Name, counts, inst.MaxThreads)
-		}
-		return runs, errsOut, nil
-	}
-	lanes := make([]sim.Lane, 0, len(cfgs)*len(viable))
-	for _, cfg := range cfgs {
-		for _, n := range viable {
-			lanes = append(lanes, sim.Lane{Config: cfg, Params: inst.Params(n)})
-		}
-	}
-	b, err := sim.NewBatch(inst.Prog, sim.Memory(inst.Mem), lanes)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := b.RunContext(ctx)
-	for ci := range cfgs {
-		var best BestRun
-		var errs []error
-		for vi, n := range viable {
-			lr := res[ci*len(viable)+vi]
-			if lr.Err != nil {
-				if ctx.Err() != nil {
-					return nil, nil, lr.Err
-				}
-				errs = append(errs, fmt.Errorf("threads=%d: %w", n, lr.Err))
-				continue
-			}
-			best.Sims++
-			best.SimCycles += lr.Stats.Cycles
-			if a := lr.Stats.AIPC(); a > best.AIPC {
-				best.AIPC, best.Threads, best.Cycles = a, n, lr.Stats.Cycles
-				best.Traffic = lr.Stats.TrafficTotal()
-			}
-		}
-		if best.Threads == 0 {
-			if len(errs) > 0 {
-				errsOut[ci] = fmt.Errorf("design: no viable thread count for %q: %w",
-					inst.Prog.Name, errors.Join(errs...))
-			} else {
-				errsOut[ci] = fmt.Errorf("design: no viable thread count for %q: none of %v within the workload's limit of %d threads",
-					inst.Prog.Name, counts, inst.MaxThreads)
-			}
-			continue
-		}
-		runs[ci] = best
-	}
-	return runs, errsOut, nil
-}
-
 // SweepResult is one design point's measured performance across a suite.
 type SweepResult struct {
 	Point

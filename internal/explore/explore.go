@@ -43,10 +43,8 @@ type Progress struct {
 	// CacheHits were answered from the cache/journal without simulating;
 	// Simulated ran; Failed of the simulated ended in a deterministic
 	// error (and were cached as such). Remote counts the simulated cells
-	// a CellRunner executed on another node (WithRunner). Batched counts
-	// the simulated cells that ran inside a same-workload batch
-	// (WithBatch) rather than as dedicated simulations.
-	CacheHits, Simulated, Failed, Remote, Batched int
+	// a CellRunner executed on another node (WithRunner).
+	CacheHits, Simulated, Failed, Remote int
 	// SimCycles totals simulated machine cycles this sweep.
 	SimCycles uint64
 	// Elapsed wall time, cells-per-second throughput over it, and the
@@ -142,24 +140,6 @@ func WithRunner(fn CellRunner) Option {
 	}
 }
 
-// WithBatch sets how many same-workload design points a sweep groups
-// into one batched simulation pass (sim.NewBatch): the program is
-// validated once and same-shape fault-free configs share one placement,
-// so K design points cost one graph build instead of K. The default is
-// 8; 0 or 1 disables batching. Results — stats, winners, error text,
-// cache keys, journal records — are byte-identical to unbatched sweeps
-// (cells that a CellRunner would ship to remote workers are never
-// batched locally).
-func WithBatch(k int) Option {
-	return func(e *Explorer) error {
-		if k < 0 {
-			return fmt.Errorf("%w: batch size %d must be non-negative", design.ErrBadOptions, k)
-		}
-		e.batch = k
-		return nil
-	}
-}
-
 // WithCacheLimit caps the result cache at n cells, evicting least
 // recently used entries beyond it (see Cache.SetLimit). The default is
 // unlimited — the right choice for one-shot CLI sweeps; a long-running
@@ -183,7 +163,6 @@ type Explorer struct {
 	scale        workload.Scale
 	threadCounts []int
 	parallelism  int
-	batch        int
 	configure    design.ConfigureFunc
 	cache        *Cache
 	cacheLimit   int
@@ -208,7 +187,6 @@ func New(opts ...Option) (*Explorer, error) {
 		scale:        workload.Tiny,
 		threadCounts: []int{1},
 		parallelism:  runtime.GOMAXPROCS(0),
-		batch:        8,
 		configure:    design.BaselineConfigure,
 		cache:        nil,
 	}
@@ -379,8 +357,8 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		}
 	}
 
-	// runCell is the unbatched unit of work: cache check, optional remote
-	// execution, local simulation, write-through, accounting.
+	// runCell is the unit of work: cache check, optional remote execution,
+	// local simulation, write-through, accounting.
 	runCell := func(pi, ai int) {
 		key := keys[pi][ai]
 		if cell, ok := e.cache.Cell(key); ok {
@@ -406,19 +384,9 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		}
 		failed := 0
 		if remote == 0 {
-			br, err := design.BestThreadsContext(ctx, configs[pi], instances[ai], threadCounts)
-			if err != nil && ctx.Err() != nil {
-				// Cancelled mid-cell: do not cache or journal a
-				// non-deterministic partial outcome.
+			var err error
+			if cell, err = simulateCell(ctx, key, apps[ai].Name, configs[pi], instances[ai], scale, threadCounts); err != nil {
 				return
-			}
-			cell = newCell(key, apps[ai].Name, configs[pi], scale)
-			if err != nil {
-				cell.Err = err.Error()
-			} else {
-				cell.AIPC, cell.Threads = br.AIPC, br.Threads
-				cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
-				cell.Traffic = br.Traffic
 			}
 		}
 		if cell.Err != "" {
@@ -435,71 +403,8 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		})
 	}
 
-	// runChunk batches a group of same-workload cache misses through one
-	// sim.NewBatch pass. Outcomes — cells, keys, journal records, error
-	// text — are byte-identical to runCell's, so batching is invisible to
-	// the cache and the journal.
-	runChunk := func(ai int, pis []int) {
-		miss := make([]int, 0, len(pis))
-		for _, pi := range pis {
-			if cell, ok := e.cache.Cell(keys[pi][ai]); ok {
-				cells[pi][ai] = cell
-				account(func(p *Progress) { p.Done++; p.CacheHits++ })
-				continue
-			}
-			miss = append(miss, pi)
-		}
-		if len(miss) == 0 || ctx.Err() != nil {
-			return
-		}
-		cfgs := make([]sim.Config, len(miss))
-		for i, pi := range miss {
-			cfgs[i] = configs[pi]
-		}
-		brs, berrs, err := design.BestThreadsBatch(ctx, cfgs, instances[ai], threadCounts)
-		if err != nil {
-			if ctx.Err() != nil {
-				return // cancelled mid-batch: cache nothing partial
-			}
-			// The batch itself could not build; the sequential path is
-			// always equivalent, so fall back cell by cell.
-			for _, pi := range miss {
-				runCell(pi, ai)
-			}
-			return
-		}
-		for i, pi := range miss {
-			cell := newCell(keys[pi][ai], apps[ai].Name, configs[pi], scale)
-			failed := 0
-			if berrs[i] != nil {
-				cell.Err = berrs[i].Error()
-				failed = 1
-			} else {
-				br := brs[i]
-				cell.AIPC, cell.Threads = br.AIPC, br.Threads
-				cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
-				cell.Traffic = br.Traffic
-			}
-			journalCell(cell)
-			cells[pi][ai] = cell
-			account(func(p *Progress) {
-				p.Done++
-				p.Simulated++
-				p.Batched++
-				p.Failed += failed
-				p.SimCycles += cell.SimCycles
-			})
-		}
-	}
-
-	// A job is one workload with one or more design points: a single point
-	// outside batching, a same-workload chunk with it. Remote runners keep
-	// per-cell dispatch — the fabric shards and retries at cell granularity.
-	type sweepJob struct {
-		ai  int
-		pis []int
-	}
-	useBatch := e.batch > 1 && e.runner == nil
+	// One job per (design point, workload) cell, dispatched point-major.
+	type sweepJob struct{ pi, ai int }
 	jobs := make(chan sweepJob)
 	var wg sync.WaitGroup
 	for w := 0; w < e.parallelism; w++ {
@@ -507,46 +412,17 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		go func() {
 			defer wg.Done()
 			for job := range jobs {
-				if useBatch {
-					runChunk(job.ai, job.pis)
-				} else {
-					runCell(job.pis[0], job.ai)
-				}
+				runCell(job.pi, job.ai)
 			}
 		}()
 	}
-	send := func(j sweepJob) bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case jobs <- j:
-			return true
-		}
-	}
-	if useBatch {
-	batched:
+dispatch:
+	for pi := range points {
 		for ai := range apps {
-			for lo := 0; lo < len(points); lo += e.batch {
-				hi := lo + e.batch
-				if hi > len(points) {
-					hi = len(points)
-				}
-				pis := make([]int, hi-lo)
-				for i := range pis {
-					pis[i] = lo + i
-				}
-				if !send(sweepJob{ai: ai, pis: pis}) {
-					break batched
-				}
-			}
-		}
-	} else {
-	dispatch:
-		for pi := range points {
-			for ai := range apps {
-				if !send(sweepJob{ai: ai, pis: []int{pi}}) {
-					break dispatch
-				}
+			select {
+			case <-ctx.Done():
+				break dispatch
+			case jobs <- sweepJob{pi, ai}:
 			}
 		}
 	}
@@ -564,6 +440,26 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		return results, firstJErr
 	}
 	return results, nil
+}
+
+// simulateCell runs one cell's best-thread-count search locally. A
+// deterministic failure is recorded in Cell.Err; the error return is
+// reserved for cancellation mid-cell, whose partial outcome must be
+// neither cached nor journaled.
+func simulateCell(ctx context.Context, key, app string, cfg sim.Config, inst *workload.Instance, sc workload.Scale, threadCounts []int) (Cell, error) {
+	br, err := design.BestThreadsContext(ctx, cfg, inst, threadCounts)
+	if err != nil && ctx.Err() != nil {
+		return Cell{}, err
+	}
+	cell := newCell(key, app, cfg, sc)
+	if err != nil {
+		cell.Err = err.Error()
+	} else {
+		cell.AIPC, cell.Threads = br.AIPC, br.Threads
+		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
+		cell.Traffic = br.Traffic
+	}
+	return cell, nil
 }
 
 // newCell stamps a fresh cell with its identity and provenance: the
@@ -646,19 +542,9 @@ func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Worklo
 	if cell, ok := e.cache.Cell(key); ok {
 		return cell, true, nil
 	}
-	inst := w.Build(sc)
-	br, err := design.BestThreadsContext(ctx, cfg, inst, threadCounts)
-	if err != nil && ctx.Err() != nil {
-		// Cancelled mid-cell: do not cache a partial outcome.
-		return Cell{}, false, err
-	}
-	cell := newCell(key, w.Name, cfg, sc)
+	cell, err := simulateCell(ctx, key, w.Name, cfg, w.Build(sc), sc, threadCounts)
 	if err != nil {
-		cell.Err = err.Error()
-	} else {
-		cell.AIPC, cell.Threads = br.AIPC, br.Threads
-		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
-		cell.Traffic = br.Traffic
+		return Cell{}, false, err
 	}
 	e.cache.PutCell(cell)
 	if e.journal != nil {

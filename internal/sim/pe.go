@@ -64,8 +64,7 @@ type outEntry struct {
 type peUnit struct {
 	p    *Processor
 	addr place.PEAddr
-	gidx int32       // index into Processor.pes, for the active-set work lists
-	st   *phaseStats // counter shard: per-cluster under SchedClusterPar, shared otherwise
+	gidx int32 // index into Processor.pes, for the active-set work lists
 	mt   *match.Table
 	ist  *istore.Store
 
@@ -211,7 +210,7 @@ func (pe *peUnit) phaseComplete(c uint64) {
 		}
 		if pe.outQ.len() >= pe.p.cfg.OutQCap {
 			// Output queue full: execution backs up.
-			pe.st.OutQStalls++
+			pe.p.stats.OutQStalls++
 			if pe.p.rec != nil {
 				pe.p.rec.PEStall(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, trace.StallOutQ, 1)
 			}
@@ -231,7 +230,7 @@ func (pe *peUnit) deliver(c uint64, r execResult) {
 		pe.wakeOutput()
 		return
 	}
-	remote := pe.p.getTargets(pe.addr.Cluster)
+	remote := pe.p.getTargets()
 	for _, d := range r.dests {
 		dst := pe.p.loc(r.tag.Thread, d.Inst)
 		if dst == pe.addr || (pe.p.cfg.PodSize == 2 && dst.SamePod(pe.addr)) {
@@ -239,13 +238,13 @@ func (pe *peUnit) deliver(c uint64, r execResult) {
 			if dst == pe.addr {
 				lvl = LevelSelf
 			}
-			pe.st.Traffic[lvl][ClassOperand]++
+			pe.p.stats.Traffic[lvl][ClassOperand]++
 			if pe.p.rec != nil {
 				pe.p.rec.Message(c, int(lvl), trace.ClassOperand,
 					pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, dst.Cluster)
 			}
-			pe.st.OperandLatTotal++ // bypass delivers in one cycle
-			pe.st.OperandCount++
+			pe.p.stats.OperandLatTotal++ // bypass delivers in one cycle
+			pe.p.stats.OperandCount++
 			// Bypass: available for dispatch this very cycle at the
 			// destination (the speculative-fire path).
 			tok := isa.Token{Tag: r.tag, Value: r.value, Dest: d}
@@ -260,7 +259,7 @@ func (pe *peUnit) deliver(c uint64, r execResult) {
 		})
 		pe.wakeOutput()
 	} else {
-		pe.p.putTargets(pe.addr.Cluster, remote)
+		pe.p.putTargets(remote)
 	}
 }
 
@@ -356,7 +355,7 @@ func (pe *peUnit) dispatch(c uint64, se schedEntry) {
 	}
 	pe.execute(c, se.inst, se.tag, se.vals, schedFire, se.addrSent)
 	if se.fast && se.readyAt == c {
-		pe.st.SpecFires++
+		pe.p.stats.SpecFires++
 	}
 }
 
@@ -365,12 +364,12 @@ func (pe *peUnit) dispatch(c uint64, se schedEntry) {
 func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, kind schedKind, addrSent bool) {
 	p := pe.p
 	in := p.prog.Inst(id)
-	pe.st.Dispatches++
-	pe.st.Dynamic++
+	p.stats.Dispatches++
+	p.stats.Dynamic++
 	if in.Op.Countable() && kind == schedFire {
-		pe.st.Countable++
+		p.stats.Countable++
 	}
-	pe.noteProgress(c)
+	p.progress = c
 	if p.rec != nil {
 		p.rec.PEFire(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE,
 			int32(id), isa.ExecLatency(in.Op))
@@ -380,7 +379,7 @@ func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, 
 
 	switch in.Op {
 	case isa.OpHalt:
-		pe.noteHalt(c, tag.Thread, vals[0])
+		p.threadHalted(c, tag.Thread, vals[0])
 		return
 	case isa.OpSteer:
 		dests := in.Dests
@@ -396,17 +395,17 @@ func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, 
 		pe.deliverAt(done, execResult{inst: id, tag: out, value: vals[0]}, in.Dests)
 		return
 	case isa.OpLoad:
-		req := p.newReq(pe.addr.Cluster)
+		req := p.newReq()
 		*req = storebuf.Request{Kind: storebuf.ReqLoad, Inst: id, Tag: tag, Mem: *in.Mem, Addr: vals[0]}
 		pe.queueMem(done, id, tag, req)
 		return
 	case isa.OpMemNop:
-		req := p.newReq(pe.addr.Cluster)
+		req := p.newReq()
 		*req = storebuf.Request{Kind: storebuf.ReqNop, Inst: id, Tag: tag, Mem: *in.Mem, Addr: vals[0]}
 		pe.queueMem(done, id, tag, req)
 		return
 	case isa.OpStore:
-		req := p.newReq(pe.addr.Cluster)
+		req := p.newReq()
 		switch {
 		case kind == schedStoreAddr:
 			*req = storebuf.Request{Kind: storebuf.ReqStoreAddr, Inst: id, Tag: tag, Mem: *in.Mem, Addr: vals[0]}
@@ -456,7 +455,7 @@ func (pe *peUnit) phaseOutput(c uint64) {
 		if home != pe.addr.Cluster {
 			lvl = LevelGrid
 		}
-		pe.st.Traffic[lvl][ClassMemory]++
+		pe.p.stats.Traffic[lvl][ClassMemory]++
 		if pe.p.rec != nil {
 			pe.p.rec.Message(c, int(lvl), trace.ClassMemory,
 				pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, home)
@@ -469,7 +468,7 @@ func (pe *peUnit) phaseOutput(c uint64) {
 		dst := pe.p.loc(e.tag.Thread, t.Inst)
 		tok := isa.Token{Tag: e.tag, Value: e.value, Dest: t}
 		if dst.Cluster == pe.addr.Cluster && dst.Domain == pe.addr.Domain {
-			pe.st.Traffic[LevelDomain][ClassOperand]++
+			pe.p.stats.Traffic[LevelDomain][ClassOperand]++
 			if pe.p.rec != nil {
 				pe.p.rec.Message(c, trace.LevelDomain, trace.ClassOperand,
 					pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, dst.Cluster)
@@ -481,7 +480,7 @@ func (pe *peUnit) phaseOutput(c uint64) {
 		if dst.Cluster != pe.addr.Cluster {
 			lvl = LevelGrid
 		}
-		pe.st.Traffic[lvl][ClassOperand]++
+		pe.p.stats.Traffic[lvl][ClassOperand]++
 		if pe.p.rec != nil {
 			pe.p.rec.Message(c, int(lvl), trace.ClassOperand,
 				pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, dst.Cluster)
@@ -489,7 +488,7 @@ func (pe *peUnit) phaseOutput(c uint64) {
 		d.netOutQ.push(netMsg{readyAt: c + 1, sentAt: e.sentAt, tok: tok, dst: dst})
 		pe.p.actDomain.arm(d.gidx)
 	}
-	pe.p.putTargets(pe.addr.Cluster, e.dests)
+	pe.p.putTargets(e.dests)
 }
 
 // phaseInput accepts up to MatchBanks tokens per cycle from the input
@@ -528,7 +527,7 @@ func (pe *peUnit) phaseInput(c uint64) {
 		if out == match.Rejected {
 			// k-bound: park until the table frees an entry of this
 			// instruction.
-			pe.st.InputRejects++
+			pe.p.stats.InputRejects++
 			if pe.p.rec != nil {
 				pe.p.rec.PEStall(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE,
 					trace.StallReject, 1)
@@ -538,15 +537,15 @@ func (pe *peUnit) phaseInput(c uint64) {
 			continue
 		}
 		if out == match.RejectedBank {
-			pe.st.InputRejects++
+			pe.p.stats.InputRejects++
 			i++
 			continue
 		}
 		pe.inQ.remove(i)
 		accepted++
 		if sentAt > 0 {
-			pe.st.OperandLatTotal += c - sentAt
-			pe.st.OperandCount++
+			pe.p.stats.OperandLatTotal += c - sentAt
+			pe.p.stats.OperandCount++
 		}
 		switch out {
 		case match.Completed:

@@ -51,10 +51,9 @@ func (r *ring) grow() {
 // equivalence guarantee depends on) and clears the armed flags, so work
 // discovered during the drain re-arms into the next drain.
 type activeSet struct {
-	work   ring
-	armed  []bool
-	frozen bool
-	out    []int32 // drain scratch, reused across cycles
+	work  ring
+	armed []bool
+	out   []int32 // drain scratch, reused across cycles
 }
 
 func newActiveSet(n int) *activeSet {
@@ -62,18 +61,12 @@ func newActiveSet(n int) *activeSet {
 }
 
 func (s *activeSet) arm(i int32) {
-	if s.frozen || s.armed[i] {
+	if s.armed[i] {
 		return
 	}
 	s.armed[i] = true
 	s.work.push(i)
 }
-
-// freeze makes arm a read-only no-op. The cluster-parallel scheduler
-// full-scans every cluster, so its work lists are never drained; freezing
-// them keeps the arm calls issued concurrently from PE phases free of
-// writes (and therefore free of data races) without touching call sites.
-func (s *activeSet) freeze() { s.frozen = true }
 
 // drain returns the armed indices sorted ascending and empties the set.
 // The returned slice is valid until the next drain.

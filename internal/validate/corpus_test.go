@@ -109,9 +109,8 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
-// TestSeedCorpusWitnesses regenerates the checked-in corpus from two
-// injected simulator bugs — a cross-cluster halt corruption and a
-// counter corruption only the batch invariant can see. Set
+// TestSeedCorpusWitnesses regenerates the checked-in corpus from an
+// injected simulator bug — a cross-cluster halt corruption. Set
 // WSVALIDATE_SEED_CORPUS=1 to run it; the exported witnesses are the
 // authentic shrunk output of the fuzz loop, not hand-written cases.
 func TestSeedCorpusWitnesses(t *testing.T) {
@@ -147,16 +146,4 @@ func TestSeedCorpusWitnesses(t *testing.T) {
 		}
 		return out, err
 	}, KindHaltDiverged)
-	// Witness 2: a Stats counter silently inflated — invisible to the
-	// reference differential (which only checks architectural counts) and
-	// to determinism (both runs inflate identically); only the batch
-	// invariant, comparing against an independently built batch lane,
-	// sees it.
-	export(func(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error) {
-		out, err := RealSim(cfg, inst, threads)
-		if err == nil && out.Err == nil {
-			out.Stats.SpecFires++
-		}
-		return out, err
-	}, KindBatchDiverged)
 }
