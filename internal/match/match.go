@@ -92,7 +92,6 @@ type Table struct {
 	// completed instance is copied into a scheduling-queue entry at once).
 	done     Entry
 	live     int
-	releases uint64 // bumps whenever an entry frees (quota may have opened)
 	stats    Stats
 	bankUsed []uint64 // cycle stamp per bank, for arrival limiting
 
@@ -120,18 +119,11 @@ func New(cfg Config) *Table {
 	}
 }
 
-// NumSets returns the number of sets.
-func (t *Table) NumSets() int { return len(t.sets) }
-
 // Stats returns a copy of the table's counters.
 func (t *Table) Stats() Stats { return t.stats }
 
 // Live returns the number of valid physical entries.
 func (t *Table) Live() int { return t.live }
-
-// Releases returns a counter that advances whenever an entry frees; callers
-// polling a rejected token can skip retries while it is unchanged.
-func (t *Table) Releases() uint64 { return t.releases }
 
 // set computes the set index for a dynamic instance: the paper's hash
 // I*k + (w mod k), folded onto the physical sets.
@@ -306,7 +298,6 @@ func (t *Table) release(e *Entry) {
 	}
 	e.valid = false
 	t.live--
-	t.releases++
 	if t.OnRelease != nil {
 		t.OnRelease(e.Inst, e.Tag.Thread)
 	}

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"time"
 
@@ -199,6 +198,18 @@ func writeErrCode(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]apiError{"error": {Code: code, Message: msg}})
 }
 
+// decodeBody strictly decodes a JSON request body into v — unknown fields
+// are errors — answering 400 on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 // archSpec is the request-side architecture description: any subset of
 // the seven Table 3 parameters plus the k-loop bound; omitted fields keep
 // their Table 1 baseline values.
@@ -282,18 +293,14 @@ func cellResult(cell explore.Cell, areaMM2 float64, scale string) runResult {
 	}
 }
 
-// resolvedRun is a runRequest lowered to a runnable cell: the same
-// (config, workload, scale, threads) tuple plus the derived display
-// values. Both /v1/runs and /v1/predict resolve through here, so the
-// predict fallback can serve bytes the run path would have produced.
+// resolvedRun is a runRequest lowered to a runnable cell plus the
+// derived display values. Both /v1/runs and /v1/predict resolve through
+// here, so the predict fallback can serve bytes the run path would have
+// produced.
 type resolvedRun struct {
-	cfg       sim.Config
-	w         workload.Workload
-	scale     workload.Scale
+	cellSpec
 	scaleName string
-	threads   int
 	areaMM2   float64
-	key       string
 }
 
 // resolveRun validates the per-run fields of a request. The returned
@@ -330,69 +337,131 @@ func resolveRun(req *runRequest) (resolvedRun, int, error) {
 		}
 		cfg.Fault = req.Fault
 	}
+	threads := []int{req.Threads}
 	return resolvedRun{
-		cfg: cfg, w: wl, scale: sc, scaleName: scaleName,
-		threads: req.Threads, areaMM2: area.Total(cfg.Arch),
-		key: explore.CellKey(cfg, wl.Name, sc, []int{req.Threads}),
+		cellSpec: cellSpec{
+			key: explore.CellKey(cfg, wl.Name, sc, threads),
+			cfg: cfg, w: wl, scale: sc, threads: threads,
+		},
+		scaleName: scaleName, areaMM2: area.Total(cfg.Arch),
 	}, 0, nil
 }
 
-// serveRun answers a resolved run exactly like POST /v1/runs: cache fast
-// path, singleflight join, bounded admission, timed wait. /v1/predict
-// falls back through this same function, so a low-confidence prediction
-// and a plain run produce byte-identical responses.
-func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, res resolvedRun, timeoutS float64) {
-	// Fast path: the cache (memory or replayed journal) already has it.
-	if cell, ok := s.cache.Cell(res.key); ok {
-		writeJSON(w, http.StatusOK, runResponse{Key: res.key, Cached: true, Result: cellResult(cell, res.areaMM2, res.scaleName)})
-		return
+// cellWait is one request's wait for its cells.
+type cellWait struct {
+	cells []cellSpec
+	// scenario runs the cells as one private job that concurrent
+	// identical requests do not join (phases share work through the
+	// cache); otherwise the one cell joins the singleflight on its key.
+	scenario bool
+	// fabric marks coordinator traffic (/v1/cluster/execute): it is not
+	// charged a tenant quota — the originating sweep already paid at the
+	// coordinator — and waits only as long as the coordinator does.
+	fabric   bool
+	timeoutS float64 // the client's wait bound; 0 = the server default
+	// late and gone are the 504 messages for a wait that outlived its
+	// bound and for a caller that left first.
+	late, gone string
+}
+
+// awaitCell answers a request's cells once: from the cache, from an
+// identical in-flight request, or from one admitted job on the worker
+// pool. It returns every cell with whether it was served from the cache;
+// on failure it has written the error response and returns ok=false.
+func (s *Server) awaitCell(w http.ResponseWriter, r *http.Request, c cellWait) (cells []explore.Cell, cached []bool, ok bool) {
+	// Fast path: the cache (memory or replayed journal) holds every cell.
+	cells = make([]explore.Cell, len(c.cells))
+	cached = make([]bool, len(c.cells))
+	hits := 0
+	for i, cs := range c.cells {
+		if cells[i], cached[i] = s.cache.Cell(cs.key); cached[i] {
+			hits++
+		}
+	}
+	if hits == len(c.cells) {
+		return cells, cached, true
 	}
 	if s.isClosing() {
 		writeErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
+		return nil, nil, false
 	}
 
-	call, leader := s.flight.join(res.key)
+	key := c.cells[0].key
+	if c.scenario {
+		key = ""
+	}
+	call, leader := s.flight.join(key)
 	if leader {
-		jb := &job{
-			kind: "run", key: res.key, call: call,
-			run: &runSpec{cfg: res.cfg, w: res.w, scale: res.scale, threadCounts: []int{res.threads}},
+		jb := &job{kind: kindCells, cells: c.cells, done: func(cells []explore.Cell, cached []bool, err error) {
+			if !c.scenario {
+				// Every waiter on a shared call waited for the job, so
+				// none of them reports a cache hit.
+				cached = make([]bool, len(cells))
+			}
+			s.flight.complete(key, call, cells, cached, err)
+		}}
+		var err error
+		if c.fabric {
+			err = s.enqueue(jb)
+		} else {
+			err = s.admit(r, jb)
 		}
-		if err := s.admit(r, jb); err != nil {
-			s.flight.abandon(res.key, call, err)
+		if err != nil {
+			s.flight.complete(key, call, nil, nil, err)
 			s.writeAdmissionErr(w, err)
-			return
+			return nil, nil, false
 		}
 	} else {
 		s.metrics.add(&s.metrics.dedupShared, 1)
 	}
 
-	timeout := s.requestTimeout
-	if timeoutS > 0 {
-		timeout = time.Duration(timeoutS * float64(time.Second))
+	ctx := r.Context()
+	if !c.fabric {
+		timeout := s.requestTimeout
+		if c.timeoutS > 0 {
+			timeout = time.Duration(c.timeoutS * float64(time.Second))
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
 	select {
 	case <-call.done:
 		if call.err != nil {
 			writeErr(w, http.StatusServiceUnavailable, "%v", call.err)
-			return
+			return nil, nil, false
 		}
-		writeJSON(w, http.StatusOK, runResponse{Key: res.key, Cached: false, Result: cellResult(call.cell, res.areaMM2, res.scaleName)})
+		return call.cells, call.cached, true
 	case <-ctx.Done():
-		// The simulation keeps running and will be cached; a retry after
-		// it completes is a cache hit.
-		writeErr(w, http.StatusGatewayTimeout, "deadline exceeded waiting for simulation; retry later for the cached result")
+		// The job keeps running and lands in the cache; a retry after it
+		// completes is a cache hit.
+		msg := c.late
+		if r.Context().Err() != nil {
+			msg = c.gone
+		}
+		writeErr(w, http.StatusGatewayTimeout, "%s", msg)
+		return nil, nil, false
+	}
+}
+
+// runLate is the /v1/runs 504 message, whether the wait bound passed or
+// the caller left.
+const runLate = "deadline exceeded waiting for simulation; retry later for the cached result"
+
+// writeRun answers a resolved run with the /v1/runs response; the
+// /v1/predict fallback calls it too, so the two are byte-identical.
+func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, res resolvedRun, timeoutS float64) {
+	cells, cached, ok := s.awaitCell(w, r, cellWait{
+		cells: []cellSpec{res.cellSpec}, timeoutS: timeoutS, late: runLate, gone: runLate,
+	})
+	if ok {
+		writeJSON(w, http.StatusOK, runResponse{Key: res.key, Cached: cached[0], Result: cellResult(cells[0], res.areaMM2, res.scaleName)})
 	}
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Scenario) > 0 {
@@ -404,7 +473,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "%v", err)
 		return
 	}
-	s.serveRun(w, r, res, req.TimeoutS)
+	s.writeRun(w, r, res, req.TimeoutS)
 }
 
 // sweepRequest is the body of POST /v1/sweeps: a suite, explicit app
@@ -422,10 +491,7 @@ type sweepRequest struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 
@@ -698,10 +764,7 @@ func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.RegisterRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID == "" || req.Addr == "" {
@@ -815,17 +878,13 @@ func (s *Server) handleClusterWorkers(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterExecute simulates one fully resolved cell on this node —
 // the worker half of the dispatch protocol, though every role serves it.
-// It reuses the run pipeline end to end: cache fast path, singleflight,
-// bounded admission queue (a 429 here is the signal that makes the
-// coordinator requeue the cell onto another worker), and cache+journal
-// write-through on completion. Fabric traffic is not charged tenant
-// quotas: the originating sweep already paid at the coordinator.
+// It answers through awaitCell like a run (a 429 from the admission queue
+// is the signal that makes the coordinator requeue the cell onto another
+// worker), but as fabric traffic: no tenant quota, no server-side wait
+// bound.
 func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
 	var req cluster.ExecRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Key == "" {
@@ -864,43 +923,16 @@ func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
 			key, req.Key, version.Version)
 		return
 	}
-	respond := func(cell explore.Cell, cached bool) {
-		writeJSON(w, http.StatusOK, cluster.ExecResponse{Cell: cell, Cached: cached, Version: version.Get("wsd")})
-	}
-	if cell, ok := s.cache.Cell(key); ok {
-		respond(cell, true)
-		return
-	}
-	if s.isClosing() {
-		writeErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	call, leader := s.flight.join(key)
-	if leader {
-		jb := &job{
-			kind: "run", key: key, call: call,
-			run: &runSpec{cfg: req.Config, w: wl, scale: req.Scale, threadCounts: req.ThreadCounts},
-		}
-		if err := s.enqueue(jb); err != nil {
-			s.flight.abandon(key, call, err)
-			s.writeAdmissionErr(w, err)
-			return
-		}
-	} else {
-		s.metrics.add(&s.metrics.dedupShared, 1)
-	}
-	select {
-	case <-call.done:
-		if call.err != nil {
-			writeErr(w, http.StatusServiceUnavailable, "%v", call.err)
-			return
-		}
-		respond(call.cell, false)
-	case <-r.Context().Done():
+	cells, cached, ok := s.awaitCell(w, r, cellWait{
+		cells:  []cellSpec{{key: key, cfg: req.Config, w: wl, scale: req.Scale, threads: req.ThreadCounts}},
+		fabric: true,
 		// The coordinator timed out this attempt and will requeue the
 		// cell; the simulation continues and lands in this node's cache,
 		// so the retry (or any future request) is a fast hit.
-		writeErr(w, http.StatusGatewayTimeout, "caller gave up; the cell continues and will be cached")
+		gone: "caller gave up; the cell continues and will be cached",
+	})
+	if ok {
+		writeJSON(w, http.StatusOK, cluster.ExecResponse{Cell: cells[0], Cached: cached[0], Version: version.Get("wsd")})
 	}
 }
 
@@ -948,109 +980,69 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.cache.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, []gauge{
-		{"wsd_queue_depth", "Jobs waiting in the admission queue.", float64(len(s.queue))},
-		{"wsd_queue_capacity", "Admission queue bound.", float64(s.queueDepth)},
-		{"wsd_workers", "Worker pool size.", float64(s.workers)},
-		{"wsd_workers_busy", "Workers executing a job right now.", float64(s.busy.Load())},
-		{"wsd_cache_entries", "Cells in the result cache.", float64(st.Cells)},
-		{"wsd_cache_limit", "LRU cap on the result cache (0 = unlimited).", float64(st.Limit)},
-		{"wsd_cache_hits_total", "Result-cache lookups answered without simulating.", float64(st.Hits)},
-		{"wsd_cache_misses_total", "Result-cache lookups that required work.", float64(st.Misses)},
-		{"wsd_cache_evictions_total", "Cells evicted by the LRU limit.", float64(st.Evictions)},
-		{"wsd_cache_hit_ratio", "Hits over all cache lookups.", st.HitRatio()},
-	})
+	s.metrics.write(w)
+	// Sampled at scrape time, as float64 so values render in %g form.
+	family(w, "wsd_queue_depth", "gauge", "Jobs waiting in the admission queue.", sample{value: float64(len(s.queue))})
+	family(w, "wsd_queue_capacity", "gauge", "Admission queue bound.", sample{value: float64(s.queueDepth)})
+	family(w, "wsd_workers", "gauge", "Worker pool size.", sample{value: float64(s.workers)})
+	family(w, "wsd_workers_busy", "gauge", "Workers executing a job right now.", sample{value: float64(s.busy.Load())})
+	family(w, "wsd_cache_entries", "gauge", "Cells in the result cache.", sample{value: float64(st.Cells)})
+	family(w, "wsd_cache_limit", "gauge", "LRU cap on the result cache (0 = unlimited).", sample{value: float64(st.Limit)})
+	family(w, "wsd_cache_hits_total", "counter", "Result-cache lookups answered without simulating.", sample{value: float64(st.Hits)})
+	family(w, "wsd_cache_misses_total", "counter", "Result-cache lookups that required work.", sample{value: float64(st.Misses)})
+	family(w, "wsd_cache_evictions_total", "counter", "Cells evicted by the LRU limit.", sample{value: float64(st.Evictions)})
+	family(w, "wsd_cache_hit_ratio", "gauge", "Hits over all cache lookups.", sample{value: st.HitRatio()})
 
 	bi := version.Get("wsd")
-	fmt.Fprintf(w, "# HELP wsd_build_info Build identity of this daemon (value is always 1).\n")
-	fmt.Fprintf(w, "# TYPE wsd_build_info gauge\n")
-	fmt.Fprintf(w, "wsd_build_info{version=%q,commit=%q,go=%q,role=%q} 1\n", bi.Version, bi.Commit, bi.Go, s.role)
-
-	fmt.Fprintf(w, "# HELP wsd_quota_rejected_total Requests rejected with 429 because the tenant was over its admission quota.\n")
-	fmt.Fprintf(w, "# TYPE wsd_quota_rejected_total counter\n")
-	fmt.Fprintf(w, "wsd_quota_rejected_total %d\n", s.quotas.rejections())
+	family(w, "wsd_build_info", "gauge", "Build identity of this daemon (value is always 1).",
+		sample{fmt.Sprintf("{version=%q,commit=%q,go=%q,role=%q}", bi.Version, bi.Commit, bi.Go, s.role), 1})
+	family(w, "wsd_quota_rejected_total", "counter", "Requests rejected with 429 because the tenant was over its admission quota.",
+		sample{value: s.quotas.rejections()})
 
 	// Fabric metrics exist only where the fabric does: on the coordinator.
 	if s.coord != nil {
 		cs := s.coord.Stats()
-		fmt.Fprintf(w, "# HELP wsd_cluster_workers Workers currently holding a live lease.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_workers gauge\n")
-		fmt.Fprintf(w, "wsd_cluster_workers %d\n", cs.Workers)
-		fmt.Fprintf(w, "# HELP wsd_cluster_worker_inflight Cells currently dispatched to each worker.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_worker_inflight gauge\n")
+		family(w, "wsd_cluster_workers", "gauge", "Workers currently holding a live lease.", sample{value: cs.Workers})
+		var inflight []sample
 		for _, wi := range s.coord.Registry().Snapshot() {
-			fmt.Fprintf(w, "wsd_cluster_worker_inflight{worker=%q} %d\n", wi.ID, wi.Inflight)
+			inflight = append(inflight, sample{fmt.Sprintf("{worker=%q}", wi.ID), wi.Inflight})
 		}
-		fmt.Fprintf(w, "# HELP wsd_cluster_cells_dispatched_total Cell execution attempts sent to workers.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_cells_dispatched_total counter\n")
-		fmt.Fprintf(w, "wsd_cluster_cells_dispatched_total %d\n", cs.Dispatched)
-		fmt.Fprintf(w, "# HELP wsd_cluster_remote_cells_total Cells completed by workers.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_remote_cells_total counter\n")
-		fmt.Fprintf(w, "wsd_cluster_remote_cells_total %d\n", cs.RemoteCells)
-		fmt.Fprintf(w, "# HELP wsd_cluster_requeues_total Failed attempts retried on another worker.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_requeues_total counter\n")
-		fmt.Fprintf(w, "wsd_cluster_requeues_total %d\n", cs.Requeues)
-		fmt.Fprintf(w, "# HELP wsd_cluster_remote_errors_total Cell execution attempts that failed.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_remote_errors_total counter\n")
-		fmt.Fprintf(w, "wsd_cluster_remote_errors_total %d\n", cs.RemoteErrors)
-		fmt.Fprintf(w, "# HELP wsd_cluster_lease_expirations_total Workers dropped for missing heartbeats.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_lease_expirations_total counter\n")
-		fmt.Fprintf(w, "wsd_cluster_lease_expirations_total %d\n", cs.LeaseExpirations)
+		family(w, "wsd_cluster_worker_inflight", "gauge", "Cells currently dispatched to each worker.", inflight...)
+		family(w, "wsd_cluster_cells_dispatched_total", "counter", "Cell execution attempts sent to workers.", sample{value: cs.Dispatched})
+		family(w, "wsd_cluster_remote_cells_total", "counter", "Cells completed by workers.", sample{value: cs.RemoteCells})
+		family(w, "wsd_cluster_requeues_total", "counter", "Failed attempts retried on another worker.", sample{value: cs.Requeues})
+		family(w, "wsd_cluster_remote_errors_total", "counter", "Cell execution attempts that failed.", sample{value: cs.RemoteErrors})
+		family(w, "wsd_cluster_lease_expirations_total", "counter", "Workers dropped for missing heartbeats.", sample{value: cs.LeaseExpirations})
 		s.metrics.mu.Lock()
 		merged := s.metrics.journalMerged
 		s.metrics.mu.Unlock()
-		fmt.Fprintf(w, "# HELP wsd_cluster_journal_merged_total New cells folded in from shipped worker journal deltas.\n")
-		fmt.Fprintf(w, "# TYPE wsd_cluster_journal_merged_total counter\n")
-		fmt.Fprintf(w, "wsd_cluster_journal_merged_total %d\n", merged)
+		family(w, "wsd_cluster_journal_merged_total", "counter", "New cells folded in from shipped worker journal deltas.", sample{value: merged})
 	}
 
 	// Surrogate serving metrics exist only when a model was configured.
 	if s.sur != nil {
 		s.sur.mu.Lock()
 		predictions := s.sur.predictions
-		reasons := make([]string, 0, len(s.sur.fallbacks))
-		for reason := range s.sur.fallbacks {
-			reasons = append(reasons, reason)
-		}
-		sort.Strings(reasons)
-		counts := make([]uint64, len(reasons))
-		for i, reason := range reasons {
-			counts[i] = s.sur.fallbacks[reason]
+		var fallbacks []sample
+		for _, reason := range sortedKeys(s.sur.fallbacks) {
+			fallbacks = append(fallbacks, sample{fmt.Sprintf("{reason=%q}", reason), s.sur.fallbacks[reason]})
 		}
 		validations, errSum := s.sur.validations, s.sur.errSum
 		s.sur.mu.Unlock()
 
-		fmt.Fprintf(w, "# HELP wsd_surrogate_predictions_total /v1/predict requests answered from the model without simulating.\n")
-		fmt.Fprintf(w, "# TYPE wsd_surrogate_predictions_total counter\n")
-		fmt.Fprintf(w, "wsd_surrogate_predictions_total %d\n", predictions)
-		fmt.Fprintf(w, "# HELP wsd_surrogate_fallbacks_total /v1/predict requests that fell back to the simulation pipeline, by reason.\n")
-		fmt.Fprintf(w, "# TYPE wsd_surrogate_fallbacks_total counter\n")
-		for i, reason := range reasons {
-			fmt.Fprintf(w, "wsd_surrogate_fallbacks_total{reason=%q} %d\n", reason, counts[i])
-		}
-		fmt.Fprintf(w, "# HELP wsd_surrogate_validations_total Predicted cells later simulated for real (the observed-error sample count).\n")
-		fmt.Fprintf(w, "# TYPE wsd_surrogate_validations_total counter\n")
-		fmt.Fprintf(w, "wsd_surrogate_validations_total %d\n", validations)
-		fmt.Fprintf(w, "# HELP wsd_surrogate_observed_error_sum Summed relative AIPC error of validated predictions (divide by validations for the mean).\n")
-		fmt.Fprintf(w, "# TYPE wsd_surrogate_observed_error_sum counter\n")
-		fmt.Fprintf(w, "wsd_surrogate_observed_error_sum %g\n", errSum)
+		family(w, "wsd_surrogate_predictions_total", "counter", "/v1/predict requests answered from the model without simulating.", sample{value: predictions})
+		family(w, "wsd_surrogate_fallbacks_total", "counter", "/v1/predict requests that fell back to the simulation pipeline, by reason.", fallbacks...)
+		family(w, "wsd_surrogate_validations_total", "counter", "Predicted cells later simulated for real (the observed-error sample count).", sample{value: validations})
+		family(w, "wsd_surrogate_observed_error_sum", "counter", "Summed relative AIPC error of validated predictions (divide by validations for the mean).", sample{value: errSum})
 		if s.sur.model != nil {
-			fmt.Fprintf(w, "# HELP wsd_surrogate_model_samples Training-set size of the serving model.\n")
-			fmt.Fprintf(w, "# TYPE wsd_surrogate_model_samples gauge\n")
-			fmt.Fprintf(w, "wsd_surrogate_model_samples %d\n", s.sur.model.Samples)
+			family(w, "wsd_surrogate_model_samples", "gauge", "Training-set size of the serving model.", sample{value: s.sur.model.Samples})
 		}
-		fmt.Fprintf(w, "# HELP wsd_surrogate_confidence_threshold RelAIPC gate above which /v1/predict falls back to simulation.\n")
-		fmt.Fprintf(w, "# TYPE wsd_surrogate_confidence_threshold gauge\n")
-		fmt.Fprintf(w, "wsd_surrogate_confidence_threshold %g\n", s.sur.threshold)
+		family(w, "wsd_surrogate_confidence_threshold", "gauge", "RelAIPC gate above which /v1/predict falls back to simulation.", sample{value: s.sur.threshold})
 	}
 
 	// Counters owned by the embedding process (WithExternalCounter), e.g.
 	// the journal shipper's retry count, sampled live at scrape time.
 	for _, ec := range s.external {
-		if ec.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", ec.name, ec.help)
-		}
-		fmt.Fprintf(w, "# TYPE %s counter\n", ec.name)
-		fmt.Fprintf(w, "%s %d\n", ec.name, ec.value())
+		family(w, ec.name, "counter", ec.help, sample{value: ec.value()})
 	}
 }

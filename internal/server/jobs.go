@@ -30,14 +30,15 @@ const (
 	stateCancelled = "cancelled"
 )
 
-// runSpec is the resolved work of one POST /v1/runs or
-// POST /v1/cluster/execute: a fully validated simulator configuration
-// plus workload, so the worker does no parsing.
-type runSpec struct {
-	cfg          sim.Config
-	w            workload.Workload
-	scale        workload.Scale
-	threadCounts []int
+// cellSpec is one fully resolved cell: a validated simulator
+// configuration, workload, scale and thread counts plus the
+// content-addressed key they hash to, so the worker does no parsing.
+type cellSpec struct {
+	key     string
+	cfg     sim.Config
+	w       workload.Workload
+	scale   workload.Scale
+	threads []int
 }
 
 // sweepSpec is the resolved work of one POST /v1/sweeps. configure, when
@@ -51,22 +52,24 @@ type sweepSpec struct {
 	configure    design.ConfigureFunc
 }
 
-// job is one unit of queued work: a synchronous run (completed through
-// its flight call), a synchronous multi-phase scenario run, or an
-// asynchronous sweep (tracked in the job registry).
+const (
+	kindCells = "cells"
+	kindSweep = "sweep"
+)
+
+// job is one unit of queued work: the cells of a synchronous request,
+// run in order on one worker, or an asynchronous sweep (tracked in the
+// job registry).
 type job struct {
-	kind string // "run", "scenario" or "sweep"
+	kind string // kindCells or kindSweep
 	// tenant is the admission-quota bucket this job occupies until it
 	// resolves ("" when quotas are disabled or the job never acquired).
 	tenant string
 
-	// Run jobs: the singleflight call every waiter blocks on.
-	key  string
-	call *flightCall
-	run  *runSpec
-
-	// Scenario jobs: the ordered phases and their completion channel.
-	scn *scenarioSpec
+	// Cell jobs: the cells and the callback that receives their outcome —
+	// every cell with its cached flag, or errShuttingDown.
+	cells []cellSpec
+	done  func(cells []explore.Cell, cached []bool, err error)
 
 	// Sweep jobs: identity, per-job cancellation and observable state.
 	id     string

@@ -86,36 +86,52 @@ func (h *histogram) observe(v float64) {
 	h.total++
 }
 
-// gauge is one live-sampled value for the exposition.
-type gauge struct {
-	name, help string
-	value      float64
+// sample is one exposition line of a family: its rendered label set
+// ("" for none) and value (integers render as integers, float64 as %g).
+type sample struct {
+	labels string
+	value  any
 }
 
-// write renders the registry plus the sampled gauges in Prometheus text
-// exposition format, deterministically ordered.
-func (m *metrics) write(w io.Writer, gauges []gauge) {
+// family writes one metric family in Prometheus text format: the # HELP
+// line (omitted when help is empty), the # TYPE line, then the samples.
+// Every family header on /metrics is written here.
+func family(w io.Writer, name, typ, help string, samples ...sample) {
+	if help != "" {
+		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
+	}
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+	for _, s := range samples {
+		fmt.Fprintf(w, "%s%s %v\n", name, s.labels, s.value)
+	}
+}
+
+// byOutcome renders the completed/failed/cancelled split of a counter.
+func byOutcome(completed, failed, cancelled uint64) []sample {
+	return []sample{
+		{`{outcome="completed"}`, completed},
+		{`{outcome="failed"}`, failed},
+		{`{outcome="cancelled"}`, cancelled},
+	}
+}
+
+// write renders the registry in Prometheus text exposition format,
+// deterministically ordered.
+func (m *metrics) write(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprint(w, "# HELP wsd_http_requests_total HTTP requests by route, method and status code.\n")
-	fmt.Fprint(w, "# TYPE wsd_http_requests_total counter\n")
+	var requests []sample
 	for _, path := range sortedKeys(m.requests) {
-		byOutcome := m.requests[path]
-		outcomes := make([]string, 0, len(byOutcome))
-		for k := range byOutcome {
-			outcomes = append(outcomes, k)
-		}
-		sort.Strings(outcomes)
-		for _, k := range outcomes {
+		byCode := m.requests[path]
+		for _, k := range sortedKeys(byCode) {
 			method, code, _ := strings.Cut(k, "|")
-			fmt.Fprintf(w, "wsd_http_requests_total{path=%q,method=%q,code=%q} %d\n",
-				path, method, code, byOutcome[k])
+			requests = append(requests, sample{fmt.Sprintf("{path=%q,method=%q,code=%q}", path, method, code), byCode[k]})
 		}
 	}
+	family(w, "wsd_http_requests_total", "counter", "HTTP requests by route, method and status code.", requests...)
 
-	fmt.Fprint(w, "# HELP wsd_http_request_duration_seconds HTTP request latency by route.\n")
-	fmt.Fprint(w, "# TYPE wsd_http_request_duration_seconds histogram\n")
+	family(w, "wsd_http_request_duration_seconds", "histogram", "HTTP request latency by route.")
 	for _, path := range sortedKeys(m.latency) {
 		h := m.latency[path]
 		cum := uint64(0)
@@ -129,41 +145,15 @@ func (m *metrics) write(w io.Writer, gauges []gauge) {
 		fmt.Fprintf(w, "wsd_http_request_duration_seconds_count{path=%q} %d\n", path, h.total)
 	}
 
-	fmt.Fprint(w, "# HELP wsd_sims_total Simulations executed by the worker pool, by outcome.\n")
-	fmt.Fprint(w, "# TYPE wsd_sims_total counter\n")
-	fmt.Fprintf(w, "wsd_sims_total{outcome=\"completed\"} %d\n", m.simsCompleted)
-	fmt.Fprintf(w, "wsd_sims_total{outcome=\"failed\"} %d\n", m.simsFailed)
-	fmt.Fprintf(w, "wsd_sims_total{outcome=\"cancelled\"} %d\n", m.simsCancelled)
-
-	fmt.Fprint(w, "# HELP wsd_jobs_total Async sweep jobs finished, by outcome.\n")
-	fmt.Fprint(w, "# TYPE wsd_jobs_total counter\n")
-	fmt.Fprintf(w, "wsd_jobs_total{outcome=\"completed\"} %d\n", m.jobsCompleted)
-	fmt.Fprintf(w, "wsd_jobs_total{outcome=\"failed\"} %d\n", m.jobsFailed)
-	fmt.Fprintf(w, "wsd_jobs_total{outcome=\"cancelled\"} %d\n", m.jobsCancelled)
-
-	fmt.Fprint(w, "# HELP wsd_singleflight_shared_total Run requests that piggybacked on an identical in-flight simulation.\n")
-	fmt.Fprint(w, "# TYPE wsd_singleflight_shared_total counter\n")
-	fmt.Fprintf(w, "wsd_singleflight_shared_total %d\n", m.dedupShared)
-
-	fmt.Fprint(w, "# HELP wsd_admission_rejected_total Requests rejected with 429 because the queue was full.\n")
-	fmt.Fprint(w, "# TYPE wsd_admission_rejected_total counter\n")
-	fmt.Fprintf(w, "wsd_admission_rejected_total %d\n", m.rejectedFull)
-
-	fmt.Fprint(w, "# HELP wsd_journal_errors_total Journal appends that failed (results still served from memory).\n")
-	fmt.Fprint(w, "# TYPE wsd_journal_errors_total counter\n")
-	fmt.Fprintf(w, "wsd_journal_errors_total %d\n", m.journalErrors)
-
-	fmt.Fprint(w, "# HELP wsd_panics_total Handler panics recovered by the middleware (each served a 500).\n")
-	fmt.Fprint(w, "# TYPE wsd_panics_total counter\n")
-	fmt.Fprintf(w, "wsd_panics_total %d\n", m.panics)
-
-	fmt.Fprint(w, "# HELP wsd_fault_sims_total Simulations executed with a fault-injection script attached.\n")
-	fmt.Fprint(w, "# TYPE wsd_fault_sims_total counter\n")
-	fmt.Fprintf(w, "wsd_fault_sims_total %d\n", m.faultSims)
-
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", g.name, g.help, g.name, g.name, g.value)
-	}
+	family(w, "wsd_sims_total", "counter", "Simulations executed by the worker pool, by outcome.",
+		byOutcome(m.simsCompleted, m.simsFailed, m.simsCancelled)...)
+	family(w, "wsd_jobs_total", "counter", "Async sweep jobs finished, by outcome.",
+		byOutcome(m.jobsCompleted, m.jobsFailed, m.jobsCancelled)...)
+	family(w, "wsd_singleflight_shared_total", "counter", "Run requests that piggybacked on an identical in-flight simulation.", sample{value: m.dedupShared})
+	family(w, "wsd_admission_rejected_total", "counter", "Requests rejected with 429 because the queue was full.", sample{value: m.rejectedFull})
+	family(w, "wsd_journal_errors_total", "counter", "Journal appends that failed (results still served from memory).", sample{value: m.journalErrors})
+	family(w, "wsd_panics_total", "counter", "Handler panics recovered by the middleware (each served a 500).", sample{value: m.panics})
+	family(w, "wsd_fault_sims_total", "counter", "Simulations executed with a fault-injection script attached.", sample{value: m.faultSims})
 }
 
 func sortedKeys[V any](m map[string]V) []string {

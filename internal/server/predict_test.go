@@ -282,3 +282,25 @@ func TestScenarioStoreWarmRestart(t *testing.T) {
 		t.Errorf("re-post after restart: %+v, want created=false digest %s", again, first.Digest)
 	}
 }
+
+// TestScenarioPhaseValidatesPrediction: a scenario phase that simulates
+// a cell the model once answered closes the loop exactly like a plain
+// run does.
+func TestScenarioPhaseValidatesPrediction(t *testing.T) {
+	_, ts := newTestServer(t, WithWorkers(2),
+		WithSurrogateModel(testSurrogateModel(t)), WithSurrogateThreshold(1000))
+
+	config := `"config":{"clusters":8,"virt":32,"match":32}`
+	resp := post(t, ts.URL+"/v1/predict", `{"workload":"fft","scale":"tiny","threads":1,`+config+`}`)
+	pred := decode[map[string]any](t, resp)
+	if resp.StatusCode != http.StatusOK || pred["source"] != "surrogate" {
+		t.Fatalf("predict: status %d, %v", resp.StatusCode, pred)
+	}
+	phase := `{"scenario":{"scenario":"v1","workload":{"name":"fft"},"scale":"tiny","threads":[1]},` + config + `}`
+	if status, b := postRaw(t, ts.URL+"/v1/runs", phase); status != http.StatusOK {
+		t.Fatalf("scenario run: status %d: %s", status, b)
+	}
+	if got := scrapeMetric(t, ts.URL, "wsd_surrogate_validations_total"); got != "1" {
+		t.Errorf("wsd_surrogate_validations_total = %s, want 1", got)
+	}
+}

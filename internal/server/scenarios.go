@@ -18,7 +18,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"time"
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/design"
@@ -203,57 +202,31 @@ func (e *scenarioRefError) Error() string {
 	return "unknown scenario " + e.digest + " (POST the document to /v1/scenarios first, or inline it)"
 }
 
-// scenarioPhaseSpec is one phase lowered to a runnable cell: the same
-// (config, workload, scale, threads) tuple a plain run carries, so key
-// computation and execution are shared verbatim.
-type scenarioPhaseSpec struct {
-	name      string
-	cfg       sim.Config
-	w         workload.Workload
-	scale     workload.Scale
-	scaleName string
-	threads   []int
-	key       string
-}
-
-// scenarioSpec is the resolved work of one scenario run: phases execute
-// in order on a pool worker, each through the explorer's cache/journal
-// write-through. Only the worker writes results/cached/err, and only
-// after done closes do waiters read them — no lock needed.
-type scenarioSpec struct {
-	phases  []scenarioPhaseSpec
-	done    chan struct{}
-	results []explore.Cell
-	cached  []bool
-	err     error
-}
-
 // lowerScenario resolves the scenario's phases against a base
 // configuration: phase fault scripts are validated against the machine
-// shape and folded into per-phase configs, and every phase gets its cell
-// key — the fault digest inside the config keeps faulty phases from
-// colliding with clean ones.
-func lowerScenario(sc *scenario.Scenario, base sim.Config) ([]scenarioPhaseSpec, error) {
+// shape and folded into per-phase configs, and every phase becomes a cell
+// with its key — the fault digest inside the config keeps faulty phases
+// from colliding with clean ones.
+func lowerScenario(sc *scenario.Scenario, base sim.Config) ([]scenario.ResolvedPhase, []cellSpec, error) {
 	phases, err := sc.ResolvePhases()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	specs := make([]scenarioPhaseSpec, len(phases))
+	cells := make([]cellSpec, len(phases))
 	for i, ph := range phases {
 		cfg := base
 		if !ph.Fault.Empty() {
 			if err := ph.Fault.Validate(sim.FaultShape(cfg)); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			cfg.Fault = ph.Fault
 		}
-		specs[i] = scenarioPhaseSpec{
-			name: ph.Name, cfg: cfg, w: ph.Workload,
-			scale: ph.Scale, scaleName: ph.ScaleName, threads: ph.Threads,
+		cells[i] = cellSpec{
 			key: explore.CellKey(cfg, ph.Workload.Name, ph.Scale, ph.Threads),
+			cfg: cfg, w: ph.Workload, scale: ph.Scale, threads: ph.Threads,
 		}
 	}
-	return specs, nil
+	return phases, cells, nil
 }
 
 // scenarioPhaseResult is one phase's outcome in a scenario run response.
@@ -273,7 +246,8 @@ type scenarioRunResponse struct {
 // handleScenarioRun serves POST /v1/runs bodies that reference a
 // scenario. The scenario carries workload, scale, threads and fault, so
 // the plain per-run fields must be absent; only the machine config and
-// timeout still come from the request.
+// timeout still come from the request. The phases take one admission and
+// run in order on one pool worker.
 func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request, req *runRequest) {
 	if req.Workload != "" || req.Scale != "" || req.Threads != 0 || req.Fault != nil {
 		writeErr(w, http.StatusBadRequest,
@@ -290,76 +264,31 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request, req *
 		writeErr(w, http.StatusBadRequest, "bad config: %v", err)
 		return
 	}
-	specs, err := lowerScenario(sc, cfg)
+	phases, specs, err := lowerScenario(sc, cfg)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	digest := sc.Digest()
+	cells, cached, ok := s.awaitCell(w, r, cellWait{
+		cells: specs, scenario: true, timeoutS: req.TimeoutS,
+		late: "deadline exceeded waiting for scenario; retry later for the cached result",
+		gone: "caller gave up; the scenario continues and will be cached",
+	})
+	if !ok {
+		return
+	}
 	areaMM2 := area.Total(cfg.Arch)
-
-	respond := func(cells []explore.Cell, cached []bool) {
-		resp := scenarioRunResponse{Scenario: digest, Cached: true}
-		for i, spec := range specs {
-			if !cached[i] {
-				resp.Cached = false
-			}
-			resp.Phases = append(resp.Phases, scenarioPhaseResult{
-				Phase: spec.name, Key: spec.key, Cached: cached[i],
-				Result: cellResult(cells[i], areaMM2, spec.scaleName),
-			})
+	resp := scenarioRunResponse{Scenario: sc.Digest(), Cached: true}
+	for i, ph := range phases {
+		if !cached[i] {
+			resp.Cached = false
 		}
-		writeJSON(w, http.StatusOK, resp)
+		resp.Phases = append(resp.Phases, scenarioPhaseResult{
+			Phase: ph.Name, Key: specs[i].key, Cached: cached[i],
+			Result: cellResult(cells[i], areaMM2, ph.ScaleName),
+		})
 	}
-
-	// Fast path: every phase already in the cache (memory or replayed
-	// journal) — a scenario re-run costs zero simulation.
-	cells := make([]explore.Cell, len(specs))
-	cached := make([]bool, len(specs))
-	hit := 0
-	for i, spec := range specs {
-		if cell, ok := s.cache.Cell(spec.key); ok {
-			cells[i], cached[i] = cell, true
-			hit++
-		}
-	}
-	if hit == len(specs) {
-		respond(cells, cached)
-		return
-	}
-	if s.isClosing() {
-		writeErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-
-	jb := &job{
-		kind: "scenario",
-		scn:  &scenarioSpec{phases: specs, done: make(chan struct{})},
-	}
-	if err := s.admit(r, jb); err != nil {
-		s.writeAdmissionErr(w, err)
-		return
-	}
-	timeout := s.requestTimeout
-	if req.TimeoutS > 0 {
-		timeout = time.Duration(req.TimeoutS * float64(time.Second))
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-jb.scn.done:
-		if jb.scn.err != nil {
-			writeErr(w, http.StatusServiceUnavailable, "%v", jb.scn.err)
-			return
-		}
-		respond(jb.scn.results, jb.scn.cached)
-	case <-timer.C:
-		// Phases keep running and land in the cache; a retry after they
-		// complete is a pure cache hit.
-		writeErr(w, http.StatusGatewayTimeout, "deadline exceeded waiting for scenario; retry later for the cached result")
-	case <-r.Context().Done():
-		writeErr(w, http.StatusGatewayTimeout, "caller gave up; the scenario continues and will be cached")
-	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // scenarioSweep is the sweep a scenario defines: the distinct phase

@@ -16,7 +16,8 @@
 //   - The admission queue is bounded. When it is full the leader is
 //     rejected with 429 and a Retry-After hint — backpressure, not
 //     collapse: latency degrades before throughput does.
-//   - A fixed worker pool drains the queue. Workers execute runs through
+//   - A fixed worker pool drains the queue. Workers execute cell jobs (a
+//     run, a scenario's phases, a fabric cell) through runCell →
 //     Explorer.RunOne (cache + journal write-through) and sweeps through
 //     Explorer.SweepWith, both under the server's base context so a
 //     client disconnect never kills a simulation other waiters share.
@@ -402,14 +403,10 @@ func (s *Server) worker() {
 func (s *Server) rejectQueued(jb *job) {
 	defer s.quotas.release(jb.tenant)
 	switch jb.kind {
-	case "run":
+	case kindCells:
 		s.metrics.add(&s.metrics.simsCancelled, 1)
-		s.flight.complete(jb.key, jb.call, explore.Cell{}, errShuttingDown)
-	case "scenario":
-		s.metrics.add(&s.metrics.simsCancelled, 1)
-		jb.scn.err = errShuttingDown
-		close(jb.scn.done)
-	case "sweep":
+		jb.done(nil, nil, errShuttingDown)
+	case kindSweep:
 		s.metrics.add(&s.metrics.jobsCancelled, 1)
 		jb.finish(nil, errShuttingDown, true)
 	}
@@ -422,68 +419,19 @@ func (s *Server) rejectQueued(jb *job) {
 func (s *Server) execute(jb *job) {
 	defer s.quotas.release(jb.tenant)
 	switch jb.kind {
-	case "run":
-		spec := jb.run
-		cell, cached, err := s.exp.RunOne(s.baseCtx, spec.cfg, spec.w, spec.scale, spec.threadCounts)
-		if cell.Key == "" {
-			// Cancelled mid-simulation (shutdown drain deadline).
-			s.metrics.add(&s.metrics.simsCancelled, 1)
-			s.flight.complete(jb.key, jb.call, explore.Cell{}, errShuttingDown)
-			return
-		}
-		if err != nil {
-			// The cell is valid but the journal append failed; serve the
-			// result and surface the durability problem as a metric.
-			s.metrics.add(&s.metrics.journalErrors, 1)
-		}
-		if !cached {
-			if !spec.cfg.Fault.Empty() {
-				s.metrics.add(&s.metrics.faultSims, 1)
-			}
-			if cell.Err != "" {
-				s.metrics.add(&s.metrics.simsFailed, 1)
-			} else {
-				s.metrics.add(&s.metrics.simsCompleted, 1)
+	case kindCells:
+		cells := make([]explore.Cell, len(jb.cells))
+		cached := make([]bool, len(jb.cells))
+		for i, c := range jb.cells {
+			var err error
+			if cells[i], cached[i], err = s.runCell(c); err != nil {
+				jb.done(nil, nil, err)
+				return
 			}
 		}
-		// A real measurement of a cell the surrogate once answered closes
-		// the loop on the model's observed error.
-		s.sur.observe(jb.key, cell)
-		s.flight.complete(jb.key, jb.call, cell, nil)
+		jb.done(cells, cached, nil)
 
-	case "scenario":
-		// Phases run in order through the same RunOne pipeline as plain
-		// runs: cache fast path, journal write-through, shared metrics.
-		// Per-phase dedup against concurrent identical runs comes from the
-		// cache (a phase cell simulated by anyone is a hit for everyone).
-		spec := jb.scn
-		spec.results = make([]explore.Cell, len(spec.phases))
-		spec.cached = make([]bool, len(spec.phases))
-		for i, ph := range spec.phases {
-			cell, cached, err := s.exp.RunOne(s.baseCtx, ph.cfg, ph.w, ph.scale, ph.threads)
-			if cell.Key == "" {
-				s.metrics.add(&s.metrics.simsCancelled, 1)
-				spec.err = errShuttingDown
-				break
-			}
-			if err != nil {
-				s.metrics.add(&s.metrics.journalErrors, 1)
-			}
-			if !cached {
-				if !ph.cfg.Fault.Empty() {
-					s.metrics.add(&s.metrics.faultSims, 1)
-				}
-				if cell.Err != "" {
-					s.metrics.add(&s.metrics.simsFailed, 1)
-				} else {
-					s.metrics.add(&s.metrics.simsCompleted, 1)
-				}
-			}
-			spec.results[i], spec.cached[i] = cell, cached
-		}
-		close(spec.done)
-
-	case "sweep":
+	case kindSweep:
 		jb.setState(stateRunning)
 		spec := jb.sweep
 		results, err := s.exp.SweepWith(jb.ctx, spec.points, spec.apps, explore.SweepSpec{
@@ -506,6 +454,36 @@ func (s *Server) execute(jb *job) {
 			s.metrics.add(&s.metrics.jobsCompleted, 1)
 		}
 	}
+}
+
+// runCell is the only way a cell reaches the explorer: RunOne (cache,
+// else simulation with journal write-through) plus the accounting every
+// cell gets — outcome counters, journal errors, and the surrogate's
+// observed error when the model once predicted the cell. It returns
+// errShuttingDown when the drain deadline cancelled the simulation.
+func (s *Server) runCell(c cellSpec) (explore.Cell, bool, error) {
+	cell, cached, err := s.exp.RunOne(s.baseCtx, c.cfg, c.w, c.scale, c.threads)
+	if cell.Key == "" {
+		s.metrics.add(&s.metrics.simsCancelled, 1)
+		return explore.Cell{}, false, errShuttingDown
+	}
+	if err != nil {
+		// The cell is valid but the journal append failed; serve the
+		// result and surface the durability problem as a metric.
+		s.metrics.add(&s.metrics.journalErrors, 1)
+	}
+	if !cached {
+		if !c.cfg.Fault.Empty() {
+			s.metrics.add(&s.metrics.faultSims, 1)
+		}
+		if cell.Err != "" {
+			s.metrics.add(&s.metrics.simsFailed, 1)
+		} else {
+			s.metrics.add(&s.metrics.simsCompleted, 1)
+		}
+	}
+	s.sur.observe(c.key, cell)
+	return cell, cached, nil
 }
 
 // Shutdown drains the server gracefully: admissions stop immediately (new

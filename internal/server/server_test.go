@@ -406,6 +406,9 @@ func TestMetricsExposition(t *testing.T) {
 		"wsd_cache_hit_ratio",
 		"wsd_cache_entries 1",
 		"wsd_singleflight_shared_total",
+		"# TYPE wsd_cache_hits_total counter",
+		"# TYPE wsd_cache_misses_total counter",
+		"# TYPE wsd_cache_evictions_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q; related lines:\n%s", want, grepMetric(text, strings.SplitN(want, "{", 2)[0]))

@@ -23,11 +23,12 @@ type flightGroup struct {
 	calls map[string]*flightCall
 }
 
-// flightCall is one in-flight simulation shared by its waiters.
+// flightCall is one in-flight job shared by its waiters.
 type flightCall struct {
-	done chan struct{} // closed on completion
-	cell explore.Cell
-	err  error // non-nil only for non-deterministic outcomes (shutdown)
+	done   chan struct{} // closed on completion
+	cells  []explore.Cell
+	cached []bool // per cell: RunOne answered it from the cache
+	err    error  // non-nil only for non-deterministic outcomes (shutdown)
 }
 
 func newFlightGroup() *flightGroup {
@@ -36,7 +37,8 @@ func newFlightGroup() *flightGroup {
 
 // join returns the call for key, creating it if absent. leader reports
 // whether the caller created the call (and so must arrange its execution
-// or abandon it).
+// or abandon it). The empty key never shares: its caller always leads a
+// private call.
 func (g *flightGroup) join(key string) (call *flightCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -44,24 +46,19 @@ func (g *flightGroup) join(key string) (call *flightCall, leader bool) {
 		return c, false
 	}
 	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
+	if key != "" {
+		g.calls[key] = c
+	}
 	return c, true
 }
 
 // complete resolves the call and wakes every waiter. The call is removed
 // from the group first, so requests arriving after completion start fresh
 // (and will hit the result cache instead).
-func (g *flightGroup) complete(key string, c *flightCall, cell explore.Cell, err error) {
+func (g *flightGroup) complete(key string, c *flightCall, cells []explore.Cell, cached []bool, err error) {
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
-	c.cell, c.err = cell, err
+	c.cells, c.cached, c.err = cells, cached, err
 	close(c.done)
-}
-
-// abandon removes a call that never got queued (admission failure), so
-// the next request for the key can lead again. Waiters that joined in the
-// window are woken with err.
-func (g *flightGroup) abandon(key string, c *flightCall, err error) {
-	g.complete(key, c, explore.Cell{}, err)
 }

@@ -9,7 +9,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"log"
 	"math"
@@ -201,10 +200,7 @@ type predictResponse struct {
 // model cannot answer confidently, the byte-identical /v1/runs response.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Scenario) > 0 {
@@ -217,14 +213,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Real data always wins: a cached cell is a measurement, so serve it
-	// exactly as /v1/runs would (serveRun's fast path).
-	if _, ok := s.cache.Cell(res.key); ok {
+	switch _, cached := s.cache.Cell(res.key); {
+	case cached:
+		// Real data always wins: a cached cell is a measurement, so serve
+		// it exactly as /v1/runs would.
 		s.sur.fallback("cached")
-		s.serveRun(w, r, res, req.TimeoutS)
-		return
-	}
-	switch {
 	case s.sur == nil || s.sur.model == nil:
 		s.sur.fallback("no_model")
 	case !res.cfg.Fault.Empty():
@@ -232,7 +225,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// from it either.
 		s.sur.fallback("fault")
 	default:
-		x := surrogate.Features(res.cfg, res.w.Name, res.scale, res.threads)
+		x := surrogate.Features(res.cfg, res.w.Name, res.scale, req.Threads)
 		pred := s.sur.model.Predict(x)
 		if pred.RelAIPC <= s.sur.threshold {
 			s.sur.predicted(res.key, pred.AIPC)
@@ -245,7 +238,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				},
 				Result: predictResult{
 					App: res.w.Name, Arch: res.cfg.Arch.String(), AreaMM2: res.areaMM2,
-					Scale: res.scaleName, Threads: res.threads,
+					Scale: res.scaleName, Threads: req.Threads,
 					AIPC: pred.AIPC, SigmaAIPC: pred.SigmaAIPC, RelSigma: pred.RelAIPC,
 					Cycles: pred.Cycles, Traffic: pred.Traffic,
 				},
@@ -254,5 +247,5 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		s.sur.fallback("low_confidence")
 	}
-	s.serveRun(w, r, res, req.TimeoutS)
+	s.writeRun(w, r, res, req.TimeoutS)
 }

@@ -496,9 +496,7 @@ func (pe *peUnit) phaseOutput(c uint64) {
 // independently, which reorders arrivals): the scan stops at the window
 // once something was accepted, but continues to the end of the queue while
 // nothing has been, so a token that would unblock a k-bounded jam is always
-// reachable. Deep scans are suppressed while the matching table has
-// released nothing and no token has arrived since the last fruitless one —
-// the outcome could not differ.
+// reachable.
 func (pe *peUnit) phaseInput(c uint64) {
 	// Tokens released from parking re-enter at the front: they are the
 	// oldest work and the quota just opened for them.
