@@ -31,6 +31,12 @@
 //     metric (backstop for one cell collapsing while the mean holds);
 //   - any cell's allocations/kcycle above the baseline by more than 5%
 //     plus one (slack for Go-version drift in startup allocations).
+//
+// It also prints the host factor and the raw (uncalibrated) geomean
+// cycles/sec ratio. The full-scan reference runs the same PE pipeline as
+// the active set, so a change to that shared core moves both schedulers
+// alike and the host-normalized gate cannot see it; the raw ratio can,
+// when both reports come from the same host.
 package main
 
 import (
@@ -172,7 +178,13 @@ func main() {
 			fail(err)
 		}
 		filtered := *suite != "" || *scale != ""
-		problems := diff(rep, base, *tolerance, filtered)
+		problems, host, raw := diff(rep, base, *tolerance, filtered)
+		// The host factor is the full-scan reference's speed ratio. That
+		// reference runs the same PE pipeline as the active set, so a
+		// speedup there reads as a faster host and the normalized ratio
+		// stays near 1: the raw ratio is where such a speedup shows.
+		fmt.Printf("host factor %.2f (full-scan geomean vs baseline); raw geomean cycles/sec ratio %.2f\n",
+			host, raw)
 		if len(problems) > 0 {
 			for _, p := range problems {
 				fmt.Fprintln(os.Stderr, "REGRESSION:", p)
@@ -317,8 +329,9 @@ func runExplore() (ExploreEntry, error) {
 // diff gates the current report against the baseline. Runner speed is
 // calibrated away with the full-scan reference: both reports carry scan
 // cycles/sec for identical deterministic workloads, so their ratio is the
-// host-speed factor between the two machines.
-func diff(cur, base *Report, tol float64, filtered bool) []string {
+// host-speed factor between the two machines. It also returns that host
+// factor and the raw (uncalibrated) geomean cycles/sec ratio.
+func diff(cur, base *Report, tol float64, filtered bool) (problems []string, host, raw float64) {
 	baseByName := make(map[string]Entry, len(base.Entries))
 	for _, e := range base.Entries {
 		baseByName[e.Name] = e
@@ -334,7 +347,7 @@ func diff(cur, base *Report, tol float64, filtered bool) []string {
 		}
 	}
 	if matched == 0 {
-		return []string{"no matrix cells in common with the baseline"}
+		return []string{"no matrix cells in common with the baseline"}, 0, 0
 	}
 	calib := math.Exp(logSum / float64(matched))
 
@@ -344,7 +357,6 @@ func diff(cur, base *Report, tol float64, filtered bool) []string {
 	// per-cell backstop (2.5× the tolerance) still catches one cell
 	// falling off a cliff while the rest hold steady.
 	cellTol := 2.5 * tol
-	var problems []string
 	var cpsLogSum, spdLogSum float64
 	seen := make(map[string]bool, len(cur.Entries))
 	for _, e := range cur.Entries {
@@ -393,7 +405,7 @@ func diff(cur, base *Report, tol float64, filtered bool) []string {
 			}
 		}
 	}
-	return problems
+	return problems, calib, calib * math.Exp(cpsLogSum/float64(matched))
 }
 
 // revision returns the short git revision — suffixed "-dirty" when the

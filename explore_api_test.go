@@ -50,6 +50,16 @@ func TestRunWorkloadContextValidation(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadContextTooManyThreads asks a single-threaded workload for
+// more threads than it supports: that is a malformed option, returned as
+// an error, not a panic from building the thread parameters.
+func TestRunWorkloadContextTooManyThreads(t *testing.T) {
+	_, err := wavescalar.RunWorkloadContext(context.Background(), "mcf", wavescalar.WithThreads(2))
+	if !errors.Is(err, wavescalar.ErrBadOptions) {
+		t.Errorf("mcf with 2 threads: error = %v, want ErrBadOptions", err)
+	}
+}
+
 // TestBuildProcessorMatchesRunWorkload checks the two public entry points
 // agree: hand-building a processor from a workload instance produces the
 // same run as RunWorkloadContext over the same configuration.

@@ -38,8 +38,13 @@ func RunOnce(cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, 
 }
 
 // RunOnceContext is RunOnce with cancellation: the simulation aborts
-// within a few thousand cycles of ctx ending.
+// within a few thousand cycles of ctx ending. A thread count outside
+// [1, inst.MaxThreads] is an error wrapping ErrBadOptions.
 func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, error) {
+	if threads < 1 || threads > inst.MaxThreads {
+		return nil, fmt.Errorf("%w: %d threads for %q, which runs on 1 to %d",
+			ErrBadOptions, threads, inst.Prog.Name, inst.MaxThreads)
+	}
 	proc, err := sim.New(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
 	if err != nil {
 		return nil, err

@@ -59,16 +59,6 @@ func (s *Store) Bind(id isa.InstID) int {
 	return idx
 }
 
-// LocalIndex returns the instruction's local index. The instruction must
-// have been bound.
-func (s *Store) LocalIndex(id isa.InstID) int {
-	idx, ok := s.bound[id]
-	if !ok {
-		panic(fmt.Sprintf("istore: instruction %d not bound to this PE", id))
-	}
-	return idx
-}
-
 // Bound returns how many instructions are bound to the PE.
 func (s *Store) Bound() int { return len(s.bound) }
 

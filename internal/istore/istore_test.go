@@ -17,8 +17,8 @@ func TestBindAssignsLocalIndexes(t *testing.T) {
 	if got := s.Bind(10); got != 0 {
 		t.Errorf("rebind index = %d, want 0", got)
 	}
-	if got := s.LocalIndex(20); got != 1 {
-		t.Errorf("LocalIndex(20) = %d, want 1", got)
+	if got := s.Bind(20); got != 1 {
+		t.Errorf("rebind index of 20 = %d, want 1", got)
 	}
 	if s.Bound() != 2 {
 		t.Errorf("bound = %d, want 2", s.Bound())
@@ -101,5 +101,4 @@ func TestPanics(t *testing.T) {
 	assertPanics("zero capacity", func() { New(0) })
 	s := New(2)
 	assertPanics("unbound access", func() { s.Access(42) })
-	assertPanics("unbound index", func() { s.LocalIndex(42) })
 }

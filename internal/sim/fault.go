@@ -155,7 +155,7 @@ func (p *Processor) killPEs(c uint64, dead []place.PEAddr) {
 	migrated, err := p.placement.Remap(
 		func(a place.PEAddr) bool { return p.pe(a).dead },
 		func(thread uint32, inst isa.InstID, from, to place.PEAddr) {
-			p.pe(to).ist.Bind(p.istKey(thread, inst))
+			p.bind(p.pe(to), thread, inst)
 		},
 	)
 	if err != nil {
@@ -191,20 +191,19 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 		sendTok(tok)
 	}
 	pe.reinject = nil
-	for _, toks := range pe.parked {
+	for li, toks := range pe.parked {
 		for _, tok := range toks {
 			sendTok(tok)
 		}
+		pe.parked[li] = toks[:0]
 	}
-	pe.parked = make(map[parkKey][]isa.Token)
 	pe.parkedCount = 0
 
 	// Partial matches (physical and overflow) adopt wholesale so
 	// accumulated operands and store-decoupling state survive.
 	for _, e := range pe.mt.DrainEntries() {
 		npe := p.pe(p.loc(e.Tag.Thread, e.Inst))
-		key := p.istKey(e.Tag.Thread, e.Inst)
-		npe.mt.Adopt(e, npe.ist.LocalIndex(key), readyAt)
+		npe.mt.Adopt(e, int(p.li[p.istKey(e.Tag.Thread, e.Inst)]), readyAt)
 		moved++
 	}
 

@@ -129,7 +129,8 @@ func TestFuzzSimMatchesReference(t *testing.T) {
 // FuzzFifoOps drives a fifo with an arbitrary operation stream and
 // cross-checks every observation against a plain-slice reference. The
 // scheduler's correctness rests on these queues preserving FIFO order
-// through head compaction, in-place slack opening and mid-queue removal,
+// through head compaction, in-place slack opening, mid-queue removal and
+// one-pass multi-removal,
 // so the structure gets an unbounded adversary in addition to the
 // randomized tests in queue_test.go. Run nightly with -fuzz (see
 // .github/workflows/nightly.yml).
@@ -142,7 +143,7 @@ func FuzzFifoOps(f *testing.F) {
 		var fref []int
 		next := 0
 		for step, b := range ops {
-			switch b % 4 {
+			switch b % 5 {
 			case 0: // push
 				q.push(next)
 				fref = append(fref, next)
@@ -164,12 +165,26 @@ func FuzzFifoOps(f *testing.F) {
 				if len(fref) == 0 {
 					continue
 				}
-				i := (int(b) / 4) % len(fref)
+				i := (int(b) / 5) % len(fref)
 				got, want := q.remove(i), fref[i]
 				fref = append(fref[:i], fref[i+1:]...)
 				if got != want {
 					t.Fatalf("step %d: remove(%d) = %d, want %d", step, i, got, want)
 				}
+			case 4: // removeSorted: every stride-th of the first n
+				n := (int(b) / 5) % (len(fref) + 1)
+				stride := 1 + int(b)%3
+				var pos []int
+				var keep []int
+				for i, v := range fref[:n] {
+					if i%stride == 0 {
+						pos = append(pos, i)
+					} else {
+						keep = append(keep, v)
+					}
+				}
+				q.removeSorted(pos)
+				fref = append(keep, fref[n:]...)
 			}
 			if q.len() != len(fref) {
 				t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(fref))

@@ -102,20 +102,26 @@ func (q *fifo[T]) popFront() T {
 	var zero T
 	q.items[q.head] = zero
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
+	q.reclaim()
 	return v
 }
 
+// reclaim moves the live elements back to the start of the buffer once
+// the freed prefix outgrows them.
+func (q *fifo[T]) reclaim() {
+	if q.head > 64 && q.head*2 >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+}
+
 // remove deletes the i-th element from the front, preserving order. It
-// shifts whichever side of the removal point is shorter: accepted tokens
-// sit near the front of deep input queues, so shifting the prefix (and
-// banking the freed slot in head, where pushFront reclaims it) turns what
-// was an O(queue) tail copy per accepted token into an O(i) one — the
-// difference between the simulator's hot path being memmove-bound or not.
+// shifts whichever side of the removal point is shorter: dispatch takes
+// entries from the first few slots of a possibly deep scheduling queue, so
+// shifting the prefix (and banking the freed slot in head, where pushFront
+// reclaims it) costs O(i) instead of an O(queue) tail copy.
 func (q *fifo[T]) remove(i int) T {
 	idx := q.head + i
 	v := q.items[idx]
@@ -124,12 +130,7 @@ func (q *fifo[T]) remove(i int) T {
 		copy(q.items[q.head+1:idx+1], q.items[q.head:idx])
 		q.items[q.head] = zero
 		q.head++
-		if q.head > 64 && q.head*2 >= len(q.items) {
-			n := copy(q.items, q.items[q.head:])
-			clear(q.items[n:])
-			q.items = q.items[:n]
-			q.head = 0
-		}
+		q.reclaim()
 		return v
 	}
 	copy(q.items[idx:], q.items[idx+1:])
@@ -160,4 +161,28 @@ func (q *fifo[T]) pushFront(v T) {
 	}
 	q.head--
 	q.items[q.head] = v
+}
+
+// removeSorted removes the elements at the given strictly ascending
+// positions, preserving the order of the rest. Each survivor in front of
+// the last removed position moves once, by the number of removals behind
+// it, so a scan that drops many of the elements it visits costs
+// O(last position) in all, where a remove per dropped element costs
+// O(position) each.
+func (q *fifo[T]) removeSorted(pos []int) {
+	n := len(pos)
+	if n == 0 {
+		return
+	}
+	for k := n - 1; k >= 0; k-- {
+		lo := 0
+		if k > 0 {
+			lo = pos[k-1] + 1
+		}
+		shift := n - k
+		copy(q.items[q.head+lo+shift:q.head+pos[k]+shift], q.items[q.head+lo:q.head+pos[k]])
+	}
+	clear(q.items[q.head : q.head+n])
+	q.head += n
+	q.reclaim()
 }

@@ -162,6 +162,47 @@ func TestFifoRemove(t *testing.T) {
 	}
 }
 
+// TestFifoRemoveSorted cross-checks one-pass multi-removal (the INPUT
+// scan's pattern: drops scattered through the queue's front, pushes and
+// prepends in between) against a reference slice.
+func TestFifoRemoveSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q fifo[int]
+	var ref []int
+	next := 0
+	for step := 0; step < 5000; step++ {
+		for k := rng.Intn(8); k > 0; k-- {
+			if rng.Intn(4) == 0 {
+				q.pushFront(next)
+				ref = append([]int{next}, ref...)
+			} else {
+				q.push(next)
+				ref = append(ref, next)
+			}
+			next++
+		}
+		n := rng.Intn(len(ref) + 1)
+		var pos, keep []int
+		for i, v := range ref[:n] {
+			if rng.Intn(3) != 0 {
+				pos = append(pos, i)
+			} else {
+				keep = append(keep, v)
+			}
+		}
+		q.removeSorted(pos)
+		ref = append(keep, ref[n:]...)
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(ref))
+		}
+		for i, want := range ref {
+			if got := *q.peek(i); got != want {
+				t.Fatalf("step %d: peek(%d) = %d, want %d", step, i, got, want)
+			}
+		}
+	}
+}
+
 // TestFifoPushFront interleaves pushFront bursts (the reinjection
 // pattern) with pops and removes, checking order against a reference.
 func TestFifoPushFront(t *testing.T) {

@@ -352,8 +352,9 @@ func WithThreads(n int) RunOption {
 // RunWorkloadContext builds the named workload and runs it, honouring ctx:
 // the simulation aborts within a few thousand cycles of cancellation.
 // With no options it runs one thread at ScaleTiny on the paper's Table 1
-// baseline. Malformed options (a non-positive thread count, a degenerate
-// scale) fail eagerly with an error wrapping ErrBadOptions.
+// baseline. Malformed options (a non-positive thread count, more threads
+// than the workload supports, a degenerate scale) fail before any
+// simulation with an error wrapping ErrBadOptions.
 func RunWorkloadContext(ctx context.Context, name string, opts ...RunOption) (*Stats, error) {
 	o := runOptions{
 		cfg:     Baseline(BaselineArch()),
